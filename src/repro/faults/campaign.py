@@ -14,26 +14,33 @@ registry, so ``workers=N`` runs report exactly the same counters as a
 serial run, plus campaign-level wall-time histograms and a
 worker-utilisation gauge.
 
+There is one staging path and one pooled executor.  :class:`_CampaignRun`
+stages every run (checkpoint restore, cache replay, surrogate
+prescreen) and records every outcome; ``workers=1`` then evaluates the
+pending faults in-process, and ``workers=N`` submits the run as a
+single job to a private
+:class:`~repro.service.scheduler.CampaignScheduler`, the same executor
+that serves :meth:`repro.session.Session.submit`.
+
 Campaigns are also *resilient* (see DESIGN.md, "Resilience
-architecture"): :meth:`FaultCampaign.run` accepts per-fault and
-campaign-wide deadlines, periodic atomic checkpointing with
-``resume=True``, and — in pooled mode — survives hung and crashed
-worker processes by killing/rebuilding the pool, re-running in-flight
-faults and quarantining faults that kill a worker twice.  Everything
-that degraded the run is accounted for in the result's
-:class:`~repro.resilience.failure.FailureReport`.
+architecture"): a :class:`~repro.service.spec.CampaignSpec` carries
+per-fault and campaign-wide deadlines and periodic atomic checkpointing
+with ``resume=True``; pooled runs survive hung and crashed worker
+processes (the scheduler kills and rebuilds the pool, re-runs crash
+suspects one at a time and quarantines faults that kill a worker
+twice).  Everything that degraded the run is accounted for in the
+result's :class:`~repro.resilience.failure.FailureReport`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import os
 import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import DeadlineExceeded
 from repro.faults.injector import inject
@@ -66,26 +73,6 @@ _QUARANTINE_AFTER = 2
 #: run.  Never crosses a process boundary: workers resolve fallbacks
 #: in-process before returning.
 BATCH_FALLBACK = object()
-
-#: sentinel distinguishing "kwarg not passed" from an explicit ``None``
-#: in the deprecated ``FaultCampaign.run()`` option kwargs.
-_UNSET = object()
-
-#: process-wide once-flag for the legacy run-kwarg warning.
-_LEGACY_KWARGS_WARNED = False
-
-
-def _warn_legacy_kwargs(names: List[str]) -> None:
-    global _LEGACY_KWARGS_WARNED
-    if _LEGACY_KWARGS_WARNED:
-        return
-    _LEGACY_KWARGS_WARNED = True
-    warnings.warn(
-        f"FaultCampaign.run() option kwargs ({', '.join(names)}) are "
-        "deprecated; pass one CampaignSpec instead: "
-        "run(target, faults, spec=CampaignSpec(...))",
-        DeprecationWarning, stacklevel=3)
-
 
 @dataclass
 class FaultOutcome:
@@ -319,6 +306,22 @@ def _quarantine_outcome(fault: Fault, crashes: int) -> FaultOutcome:
         quarantined=True)
 
 
+def _scored(fault: Fault, detector, reference: Any, measurement: Any,
+            threshold: float) -> FaultOutcome:
+    score = min(1.0, max(0.0, float(detector(reference, measurement))))
+    return FaultOutcome(fault=fault, detection=score,
+                        detected=score >= threshold, measurement=measurement)
+
+
+def _errored(fault: Fault, exc: Exception, on_error: str) -> FaultOutcome:
+    """A fault whose evaluation raised, under the campaign's error
+    policy (see ``FaultCampaign.errors_as_detected``)."""
+    as_detected = on_error == _ERROR_DETECTED
+    return FaultOutcome(fault=fault, detection=1.0 if as_detected else 0.0,
+                        detected=as_detected,
+                        error=f"{type(exc).__name__}: {exc}")
+
+
 def _span_ref(trace_ctx: Optional[TraceContext], name: str) -> str:
     """The ``"<trace_id>:<path>"`` reference an outcome carries back to
     the span that produced it."""
@@ -376,16 +379,9 @@ def _evaluate_fault_plain(technique, detector, threshold, on_error,
     t0 = time.perf_counter()
     with deadline_scope(fault_timeout_s, label="fault") as dl:
         try:
-            faulty = inject(target, fault)
-            measurement = technique(faulty)
-            score = float(detector(reference, measurement))
-            score = min(1.0, max(0.0, score))
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=score,
-                detected=score >= threshold,
-                measurement=measurement,
-            )
+            measurement = technique(inject(target, fault))
+            outcome = _scored(fault, detector, reference, measurement,
+                              threshold)
         except DeadlineExceeded as exc:
             if dl is not None and exc.deadline is dl and dl.label == "fault":
                 # this fault's own budget ran out: a structured verdict,
@@ -397,13 +393,7 @@ def _evaluate_fault_plain(technique, detector, threshold, on_error,
                 # absorb
                 raise
         except Exception as exc:  # noqa: BLE001 - campaign must continue
-            as_detected = on_error == _ERROR_DETECTED
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=1.0 if as_detected else 0.0,
-                detected=as_detected,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            outcome = _errored(fault, exc, on_error)
     outcome.elapsed_s = time.perf_counter() - t0
     outcome.worker_pid = os.getpid()
     return outcome
@@ -492,22 +482,9 @@ def _evaluate_batch_plain(technique, detector, threshold, on_error,
                 fault_timeout_s, target, reference, trace_ctx, fault))
             continue
         try:
-            score = float(detector(reference, meas))
-            score = min(1.0, max(0.0, score))
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=score,
-                detected=score >= threshold,
-                measurement=meas,
-            )
+            outcome = _scored(fault, detector, reference, meas, threshold)
         except Exception as exc:  # noqa: BLE001 - mirror the serial policy
-            as_detected = on_error == _ERROR_DETECTED
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=1.0 if as_detected else 0.0,
-                detected=as_detected,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            outcome = _errored(fault, exc, on_error)
         outcome.elapsed_s = share
         outcome.worker_pid = os.getpid()
         batch_slots.append(len(outcomes))
@@ -555,6 +532,253 @@ def _graft_spans(parent: Span, outcome: FaultOutcome) -> None:
     outcome.span = f"{parent.name}/{name}"
 
 
+def _graft_outcomes(parent: Span, result: CampaignResult) -> None:
+    """Graft every outcome's spans under the campaign/job span, in fault
+    order, and annotate that span with the run's totals."""
+    for o in result.outcomes:
+        _graft_spans(parent, o)
+    parent.set(n_faults=result.n_faults, n_detected=result.n_detected,
+               n_errors=result.n_errors, coverage=result.coverage,
+               workers=result.workers)
+    if result.n_prescreened:
+        parent.set(n_prescreened=result.n_prescreened)
+    if result.partial or result.failures.degraded:
+        parent.set(partial=result.partial,
+                   failures=result.failures.summary())
+
+
+def _merge_obs(result: CampaignResult) -> None:
+    """Merge the per-fault snapshots shipped on the outcomes into the
+    ambient scope and record the campaign-level metrics — the parity
+    contract that makes pooled and scheduled runs report a serial run's
+    counters."""
+    m = OBS.metrics
+    busy = 0.0
+    for o in result.outcomes:
+        m.merge(o.metrics)
+        if o.events:
+            OBS.events.extend(o.events)
+        m.histogram("campaign.fault_wall_s").observe(o.elapsed_s)
+        busy += o.elapsed_s
+    m.counter("campaign.runs").inc()
+    m.counter("campaign.faults_evaluated").inc(result.n_faults)
+    m.counter("campaign.errors").inc(result.n_errors)
+    if result.elapsed_s > 0.0 and result.n_faults:
+        m.gauge("campaign.worker_utilization").set(
+            busy / (result.elapsed_s * result.workers))
+
+
+def _record_ledger(ledger: Any, result: CampaignResult, spec: CampaignSpec,
+                   **extra: Any) -> None:
+    """Append the run to the ledger.  History is best-effort
+    persistence: a full disk or a read-only path must never fail a
+    campaign that already computed its result."""
+    if ledger is None:
+        return
+    try:
+        ledger.record_campaign(result, key=spec.content_key(),
+                               name=result.target_name,
+                               prescreen=spec.prescreen, **extra)
+    except Exception:  # noqa: BLE001
+        pass
+
+
+def _picklable(*objs: Any) -> bool:
+    """Can the workload cross a process boundary?"""
+    try:
+        pickle.dumps(objs)
+    except Exception:  # noqa: BLE001 - any pickle failure means in-process
+        return False
+    return True
+
+
+def _target_name(spec: CampaignSpec) -> str:
+    return spec.name or getattr(spec.target, "name",
+                                type(spec.target).__name__)
+
+
+class _CampaignRun:
+    """One campaign's staging and outcome bookkeeping.
+
+    Shared by the in-process path of :meth:`FaultCampaign.run` and by
+    every :class:`~repro.service.scheduler.CampaignScheduler` job, so
+    both executors stage and account for a run identically:
+
+    * :meth:`stage`: checkpoint restore, then cache replay, then the
+      surrogate prescreen; returns the fault indices left to evaluate;
+    * :meth:`record`: failure accounting, cache put, progress tick and
+      checkpoint cadence for one outcome (callers record in fault
+      order);
+    * :meth:`finish`: skipped-fault accounting and result assembly.
+
+    ``label`` is the job id a service job stamps on its events and
+    progress; a standalone campaign leaves it empty, so its pinned event
+    shape is unchanged.
+    """
+
+    def __init__(self, spec: CampaignSpec, cache: Optional[Any] = None,
+                 progress: Optional[Callable[[Any], None]] = None,
+                 label: str = "") -> None:
+        self.spec = spec
+        self.fault_list: List[Fault] = list(spec.faults)
+        self.total = len(self.fault_list)
+        self.label = label
+        self.failures = FailureReport()
+        self.outcomes: Dict[int, FaultOutcome] = {}
+        self.cache = cache
+        self.context_key: Optional[str] = None
+        self.surrogate_key: Optional[str] = None
+        self.cache_stats0: Any = None
+        if cache is not None:
+            self.context_key = spec.context_key()
+            self.cache_stats0 = cache.stats.snapshot()
+            if spec.prescreen == "surrogate":
+                # surrogate verdicts live under their own context key:
+                # prescreened and full runs must never replay each
+                # other's entries (the surrogate's score is not the
+                # transient's)
+                self.surrogate_key = spec.surrogate_context_key()
+        self.tracker = ProgressTracker(self.total, callback=progress,
+                                       heartbeat_every=spec.heartbeat_every,
+                                       label=label)
+        self.ckpt: Optional[CampaignCheckpoint] = None
+        if spec.checkpoint is not None:
+            self.ckpt = CampaignCheckpoint(spec.checkpoint,
+                                           spec.content_key(),
+                                           every=spec.checkpoint_every)
+        self.deadline: Optional[Deadline] = None
+        if spec.campaign_deadline_s is not None:
+            self.deadline = Deadline(spec.campaign_deadline_s,
+                                     label="campaign")
+        self.t0 = time.perf_counter()
+
+    def job_fields(self) -> Dict[str, str]:
+        return {"job": self.label} if self.label else {}
+
+    # -- staging -------------------------------------------------------
+    def stage(self) -> List[int]:
+        """Replay what is already known, in fault order, and return the
+        indices that still need an evaluation."""
+        if self.ckpt is not None and self.spec.resume:
+            restored = self.ckpt.load()
+            # replayed so progress and failure accounting match the
+            # uninterrupted run; restored verdicts also seed the cache
+            for idx in sorted(i for i in restored if 0 <= i < self.total):
+                self.record(idx, restored[idx], save=False)
+        pending: List[int] = []
+        for idx in range(self.total):
+            if idx in self.outcomes:
+                continue
+            hit = self.cached(idx) if self.cache is not None else None
+            if hit is not None:
+                self.record(idx, hit)
+            else:
+                pending.append(idx)
+        if pending and self.spec.prescreen == "surrogate":
+            pending = self.prescreen(pending)
+        return pending
+
+    def cached(self, idx: int,
+               count_miss: bool = True) -> Optional[FaultOutcome]:
+        """Cache replay of one fault.  A prescreened run probes the
+        surrogate context first (silently: the transient context owns
+        the miss counter), then the shared transient context, so a warm
+        prescreened re-run replays both verdict kinds."""
+        fault = self.fault_list[idx]
+        hit = None
+        if self.surrogate_key is not None:
+            hit = self.cache.get(self.surrogate_key, fault,
+                                 self.spec.threshold, count_miss=False)
+        if hit is None:
+            hit = self.cache.get(self.context_key, fault,
+                                 self.spec.threshold, count_miss=count_miss)
+        return hit
+
+    def prescreen(self, pending: List[int]) -> List[int]:
+        """Classify ``pending`` through the surrogate prescreen and
+        return the escalated indices.  It runs before any MNA reference
+        exists, so a fully surrogate-decided campaign performs zero
+        transient simulations."""
+        from repro.surrogate.prescreen import SurrogatePrescreen
+        spec = self.spec
+        prescreen = SurrogatePrescreen(spec.technique, spec.detector,
+                                       spec.threshold,
+                                       config=spec.prescreen_config)
+        verdicts = prescreen.classify(
+            spec.target, [self.fault_list[i] for i in pending])
+        escalated: List[int] = []
+        for idx, verdict in zip(pending, verdicts):
+            if verdict is None:
+                escalated.append(idx)
+            else:
+                self.record(idx, verdict)
+        return escalated
+
+    # -- recording -----------------------------------------------------
+    def record(self, idx: int, outcome: FaultOutcome,
+               save: bool = True) -> None:
+        self.outcomes[idx] = outcome
+        if outcome.timed_out:
+            self.failures.timeouts.append(outcome.fault.describe())
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.fault_timeouts").inc()
+                event("campaign.fault_timeout", level="warning",
+                      fault=outcome.fault.describe(),
+                      budget_s=self.spec.fault_timeout_s,
+                      **self.job_fields())
+        if outcome.quarantined:
+            self.failures.quarantined.append(outcome.fault.describe())
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.quarantined").inc()
+                event("campaign.quarantine", level="error",
+                      fault=outcome.fault.describe(), **self.job_fields())
+        if self.cache is not None and not outcome.from_cache:
+            if outcome.decided_by == "surrogate":
+                if self.surrogate_key is not None:
+                    self.cache.put(self.surrogate_key, outcome)
+            else:
+                self.cache.put(self.context_key, outcome)
+        self.tracker.update(outcome)
+        if self.ckpt is not None and save:
+            self.save_checkpoint()
+
+    def save_checkpoint(self, force: bool = False) -> None:
+        if force:
+            self.ckpt.save(self.outcomes, self.total)
+        else:
+            self.ckpt.maybe_save(self.outcomes, self.total)
+
+    def finish(self, pending: Iterable[int], reference: Any,
+               workers: int) -> CampaignResult:
+        """Assemble the result; whatever in ``pending`` has no outcome
+        was cut off by the campaign deadline and is listed as skipped,
+        in fault order."""
+        failures = self.failures
+        unevaluated = [i for i in pending if i not in self.outcomes]
+        if unevaluated:
+            failures.skipped.extend(
+                self.fault_list[i].describe() for i in unevaluated)
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.skipped").inc(len(unevaluated))
+                event("campaign.deadline", level="warning",
+                      skipped=len(unevaluated),
+                      budget_s=self.spec.campaign_deadline_s,
+                      **self.job_fields())
+        result = CampaignResult(target_name=_target_name(self.spec),
+                                reference=reference,
+                                threshold=self.spec.threshold,
+                                workers=workers, failures=failures)
+        result.outcomes = [self.outcomes[i] for i in sorted(self.outcomes)]
+        result.partial = bool(failures.skipped or failures.deadline_hit
+                              or failures.timeouts or failures.quarantined)
+        if self.ckpt is not None:
+            self.save_checkpoint(force=True)
+        result.elapsed_s = time.perf_counter() - self.t0
+        if self.cache is not None:
+            result.cache_stats = self.cache.stats.delta(self.cache_stats0)
+        return result
+
+
 class FaultCampaign:
     """Run a measurement technique over a fault universe.
 
@@ -583,13 +807,16 @@ class FaultCampaign:
         never counted as detected under either policy.
     workers:
         Number of worker processes for :meth:`run`.  ``1`` (default)
-        evaluates faults serially in-process; ``N > 1`` fans the fault
-        universe out over a :class:`concurrent.futures.ProcessPoolExecutor`.
-        Faults are independent, so this is embarrassingly parallel;
-        results come back in fault order regardless of completion order.
-        Requires the technique, detector, target and faults to be
-        picklable — if they are not, the campaign warns and falls back
-        to serial evaluation.
+        evaluates faults serially in-process; ``N > 1`` submits the run
+        as one job to a private
+        :class:`~repro.service.scheduler.CampaignScheduler` with
+        ``min(N, n_faults)`` worker processes, one fault (or one
+        ``batch_size`` chunk) per dispatched shard.  Faults are
+        independent, so this is embarrassingly parallel; results come
+        back in fault order regardless of completion order.  Requires
+        the technique, detector, target and faults to be picklable — if
+        they are not, the campaign warns and falls back to serial
+        evaluation.
     batch_size:
         Faults marched per batched-engine call.  ``1`` (default) uses
         the per-fault path.  ``K > 1`` chunks the universe and hands
@@ -643,20 +870,8 @@ class FaultCampaign:
 
     def run(self, target: Any = None,
             faults: Optional[Iterable[Fault]] = None,
-            reference: Any = None,
-            workers: Any = _UNSET,
-            progress: Any = _UNSET,
-            heartbeat_every: Any = _UNSET,
-            *,
-            spec: Optional[CampaignSpec] = None,
-            batch_size: Any = _UNSET,
-            fault_timeout_s: Any = _UNSET,
-            campaign_deadline_s: Any = _UNSET,
-            checkpoint: Any = _UNSET,
-            resume: Any = _UNSET,
-            checkpoint_every: Any = _UNSET,
-            timeout_grace_s: Any = _UNSET
-            ) -> CampaignResult:
+            reference: Any = None, *,
+            spec: Optional[CampaignSpec] = None) -> CampaignResult:
         """Evaluate every fault; ``reference`` may carry a precomputed
         fault-free measurement to avoid re-simulation.
 
@@ -667,11 +882,7 @@ class FaultCampaign:
         Spec options left ``None`` inherit the campaign's constructor
         configuration (then package defaults); the same spec object can
         be handed unchanged to
-        :meth:`repro.service.scheduler.CampaignScheduler.submit`.  The
-        loose option kwargs of the pre-service API (``workers=``,
-        ``batch_size=``, ``checkpoint=`` …) still work but are
-        deprecated: they warn once per process and cannot be mixed with
-        ``spec=``.
+        :meth:`repro.service.scheduler.CampaignScheduler.submit`.
 
         ``spec.progress`` is called after every completed fault with a
         :class:`~repro.obs.health.CampaignProgress` (done/total, ETA,
@@ -687,15 +898,16 @@ class FaultCampaign:
         fault_timeout_s:
             Wall-clock budget per fault.  Serially (and cooperatively in
             workers) the engine's Newton/transient/march loops check the
-            deadline; in pooled mode the parent additionally hard-kills
-            and rebuilds the pool ``timeout_grace_s`` after the budget,
-            which also catches techniques that never reach a cooperative
-            check.  A timed-out fault is recorded as a structured
-            outcome (``timed_out=True``, ``error="timeout: ..."``) and
-            is never counted as detected.
+            deadline; in pooled mode the scheduler additionally
+            hard-kills and rebuilds the pool ``timeout_grace_s`` after
+            the budget, which also catches techniques that never reach
+            a cooperative check.  A timed-out fault is recorded as a
+            structured outcome (``timed_out=True``,
+            ``error="timeout: ..."``) and is never counted as detected.
         campaign_deadline_s:
-            Budget for the whole run.  On expiry, evaluation stops;
-            faults never evaluated are listed in
+            Budget for the whole run.  On expiry, evaluation stops (a
+            pooled run kills its pool); outcomes already computed are
+            kept, faults never evaluated are listed in
             ``result.failures.skipped`` and the result is ``partial``.
         checkpoint / resume / checkpoint_every:
             ``checkpoint=path`` persists completed outcomes atomically
@@ -714,26 +926,7 @@ class FaultCampaign:
             single simulation — including the fault-free reference,
             which is only computed when at least one fault misses.
         """
-        legacy = {k: v for k, v in (
-            ("workers", workers), ("progress", progress),
-            ("heartbeat_every", heartbeat_every),
-            ("batch_size", batch_size),
-            ("fault_timeout_s", fault_timeout_s),
-            ("campaign_deadline_s", campaign_deadline_s),
-            ("checkpoint", checkpoint), ("resume", resume),
-            ("checkpoint_every", checkpoint_every),
-            ("timeout_grace_s", timeout_grace_s)) if v is not _UNSET}
-        if legacy:
-            if spec is not None:
-                raise ValueError(
-                    "FaultCampaign.run() got both spec= and legacy option "
-                    f"kwargs ({', '.join(sorted(legacy))}); put the "
-                    "options on the CampaignSpec")
-            _warn_legacy_kwargs(sorted(legacy))
-            spec = CampaignSpec(**legacy)
-        elif spec is None:
-            spec = CampaignSpec()
-
+        spec = spec if spec is not None else CampaignSpec()
         if target is not None:
             spec = spec.replace(target=target)
         if faults is not None:
@@ -747,655 +940,106 @@ class FaultCampaign:
                               errors_as_detected=self.errors_as_detected,
                               workers=self.workers,
                               batch_size=self.batch_size)
+        if rspec.cache is None and self.cache is not None:
+            rspec = rspec.replace(cache=self.cache)
 
-        target = rspec.target
-        reference = rspec.reference
-        threshold = rspec.threshold
-        on_error = rspec.on_error
-        n_batch = rspec.batch_size
-        fault_timeout_s = rspec.fault_timeout_s
-        campaign_deadline_s = rspec.campaign_deadline_s
-        timeout_grace_s = rspec.timeout_grace_s
-        cache = rspec.cache if rspec.cache is not None else self.cache
+        n_workers = (min(rspec.workers, len(rspec.faults))
+                     if rspec.faults else 1)
+        if n_workers > 1 and not _picklable(
+                self.technique, self.detector, rspec.target,
+                rspec.reference, rspec.faults):
+            warnings.warn(
+                "fault campaign: technique/detector/target/faults are not "
+                "picklable; falling back to serial evaluation",
+                RuntimeWarning, stacklevel=2)
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.pickle_fallbacks").inc()
+            n_workers = 1
 
         t_start = time.perf_counter()
-        name = rspec.name or getattr(target, "name",
-                                     type(target).__name__)
-        with obs_span("campaign", target=name) as sp:
-            failures = FailureReport()
-            result = CampaignResult(target_name=name, reference=reference,
-                                    threshold=threshold,
-                                    failures=failures)
-            fault_list = list(rspec.faults)
-            n_workers = rspec.workers
-            n_workers = min(n_workers, len(fault_list)) if fault_list else 1
-            collect_obs = OBS.enabled
-            # captured inside the campaign span, so worker-side roots
-            # record this exact position in the trace as their parent
-            trace_ctx = TraceContext.capture()
-
-            ckpt: Optional[CampaignCheckpoint] = None
-            restored: Dict[int, FaultOutcome] = {}
-            if rspec.checkpoint is not None:
-                ckpt = CampaignCheckpoint(rspec.checkpoint,
-                                          rspec.content_key(),
-                                          every=rspec.checkpoint_every)
-                if rspec.resume:
-                    restored = {i: o for i, o in ckpt.load().items()
-                                if 0 <= i < len(fault_list)}
-
-            campaign_dl = (Deadline(campaign_deadline_s, label="campaign")
-                           if campaign_deadline_s is not None else None)
-
-            tracker = ProgressTracker(len(fault_list),
-                                      callback=rspec.progress,
-                                      heartbeat_every=rspec.heartbeat_every)
-            outcomes: Dict[int, FaultOutcome] = {}
-            cache_context = (rspec.context_key() if cache is not None
-                             else None)
-            cache_stats0 = (cache.stats.snapshot() if cache is not None
-                            else None)
-            # surrogate verdicts live under their own context key —
-            # prescreened and full runs must never replay each other's
-            # entries (the surrogate's score is not the transient's)
-            surrogate_context = (rspec.surrogate_context_key()
-                                 if cache is not None
-                                 and rspec.prescreen == "surrogate"
-                                 else None)
-
-            def record(idx: int, outcome: FaultOutcome,
-                       save: bool = True) -> None:
-                outcomes[idx] = outcome
-                if outcome.timed_out:
-                    failures.timeouts.append(outcome.fault.describe())
-                    if OBS.enabled:
-                        OBS.metrics.counter("campaign.fault_timeouts").inc()
-                        event("campaign.fault_timeout", level="warning",
-                              fault=outcome.fault.describe(),
-                              budget_s=fault_timeout_s)
-                if outcome.quarantined:
-                    failures.quarantined.append(outcome.fault.describe())
-                    if OBS.enabled:
-                        OBS.metrics.counter("campaign.quarantined").inc()
-                        event("campaign.quarantine", level="error",
-                              fault=outcome.fault.describe())
-                if cache is not None and not outcome.from_cache:
-                    if outcome.decided_by == "surrogate":
-                        if surrogate_context is not None:
-                            cache.put(surrogate_context, outcome)
-                    else:
-                        cache.put(cache_context, outcome)
-                tracker.update(outcome)
-                if ckpt is not None and save:
-                    ckpt.maybe_save(outcomes, len(fault_list))
-
-            # replay checkpointed outcomes (in fault order) so progress
-            # and failure accounting match the uninterrupted run
-            for idx in sorted(restored):
-                record(idx, restored[idx], save=False)
-
-            # then replay cache hits, still in fault order; only what
-            # is left after both replays is ever dispatched
-            if cache is not None:
-                for idx in range(len(fault_list)):
-                    if idx in outcomes:
-                        continue
-                    # a prescreened run probes the surrogate context
-                    # first (silently — the authoritative miss counter
-                    # is the transient context's), then the shared
-                    # transient context, so a warm prescreened re-run
-                    # replays both verdict kinds without a simulation
-                    hit = None
-                    if surrogate_context is not None:
-                        hit = cache.get(surrogate_context,
-                                        fault_list[idx], threshold,
-                                        count_miss=False)
-                    if hit is None:
-                        hit = cache.get(cache_context, fault_list[idx],
-                                        threshold)
-                    if hit is not None:
-                        record(idx, hit)
-
-            pending = [i for i in range(len(fault_list))
-                       if i not in outcomes]
-
-            if pending and rspec.prescreen == "surrogate":
-                # the prescreen runs in the parent, before the MNA
-                # reference is even computed: a fully surrogate-decided
-                # campaign performs zero transient simulations
-                from repro.surrogate.prescreen import SurrogatePrescreen
-                prescreen = SurrogatePrescreen(
-                    self.technique, self.detector, threshold,
-                    config=rspec.prescreen_config)
-                verdicts = prescreen.classify(
-                    target, [fault_list[i] for i in pending])
-                escalated = []
-                for idx, verdict in zip(pending, verdicts):
-                    if verdict is None:
-                        escalated.append(idx)
-                    else:
-                        record(idx, verdict)
-                pending = escalated
-
-            if pending:
-                if reference is None:
-                    # lazy on purpose: a fully restored/cached campaign
-                    # re-runs without a single simulation, reference
-                    # included
-                    reference = self.technique(target)
-                    result.reference = reference
-
-                evaluate = functools.partial(
-                    _evaluate_fault, self.technique, self.detector,
-                    threshold, on_error, collect_obs,
-                    fault_timeout_s, target, reference, trace_ctx)
-                # Batched dispatch needs the technique to implement the
-                # batch protocol; otherwise the knob degrades to
-                # per-fault.
-                use_batch = (n_batch > 1
-                             and hasattr(self.technique, "evaluate_batch"))
-                evaluate_batch = (functools.partial(
-                    _evaluate_fault_batch, self.technique, self.detector,
-                    threshold, on_error, collect_obs,
-                    fault_timeout_s, target, reference, trace_ctx)
-                    if use_batch else None)
-
-                if n_workers > 1 and not self._picklable(evaluate,
-                                                         fault_list):
-                    warnings.warn(
-                        "fault campaign: technique/detector/target/faults "
-                        "are not picklable; falling back to serial "
-                        "evaluation",
-                        RuntimeWarning, stacklevel=2)
-                    if OBS.enabled:
-                        OBS.metrics.counter(
-                            "campaign.pickle_fallbacks").inc()
-                    n_workers = 1
-
-                if n_workers > 1 and use_batch:
-                    self._run_pooled_batched(evaluate_batch, evaluate,
-                                             fault_list, pending, n_workers,
-                                             n_batch, record, failures,
-                                             campaign_dl, fault_timeout_s,
-                                             timeout_grace_s)
-                elif n_workers > 1:
-                    self._run_pooled(evaluate, fault_list, pending,
-                                     n_workers, record, failures,
-                                     campaign_dl, fault_timeout_s,
-                                     timeout_grace_s)
-                elif use_batch:
-                    self._run_serial_batched(evaluate_batch, fault_list,
-                                             pending, n_batch, record,
-                                             failures, campaign_dl)
-                else:
-                    self._run_serial(evaluate, fault_list, pending, record,
-                                     failures, campaign_dl)
-
-            # anything with no outcome was cut off by the campaign
-            # deadline: account for it in index order
-            unevaluated = [i for i in pending if i not in outcomes]
-            if unevaluated:
-                failures.skipped.extend(
-                    fault_list[i].describe() for i in unevaluated)
-                if OBS.enabled:
-                    OBS.metrics.counter("campaign.skipped").inc(
-                        len(unevaluated))
-                    event("campaign.deadline", level="warning",
-                          skipped=len(unevaluated),
-                          budget_s=campaign_deadline_s)
-
-            result.outcomes = [outcomes[i] for i in sorted(outcomes)]
-            result.partial = bool(failures.skipped or failures.deadline_hit
-                                  or failures.timeouts
-                                  or failures.quarantined)
-            if ckpt is not None:
-                ckpt.save(outcomes, len(fault_list))
-
+        with obs_span("campaign", target=_target_name(rspec)) as sp:
+            if n_workers > 1:
+                from repro.service.scheduler import run_hosted
+                result = run_hosted(rspec, n_workers)
+            else:
+                result = self._run_in_process(rspec)
             result.workers = n_workers
             result.elapsed_s = time.perf_counter() - t_start
-            if cache is not None:
-                result.cache_stats = cache.stats.delta(cache_stats0)
-            self._record_obs(result, sp)
+            if OBS.enabled:
+                _graft_outcomes(sp, result)
+                _merge_obs(result)
         if OBS.enabled:
             result.trace = sp
-        ledger = OBS.ledger
-        if ledger is not None:
-            # history is best-effort persistence: a full disk or a
-            # read-only path must never fail the campaign itself
-            try:
-                ledger.record_campaign(result, key=rspec.content_key(),
-                                       name=name,
-                                       prescreen=rspec.prescreen)
-            except Exception:  # noqa: BLE001
-                pass
+        _record_ledger(OBS.ledger, result, rspec)
         return result
 
     # ------------------------------------------------------------------
-    def _run_serial(self, evaluate, fault_list, pending, record,
-                    failures: FailureReport,
-                    campaign_dl: Optional[Deadline]) -> None:
+    def _run_in_process(self, spec: CampaignSpec) -> CampaignResult:
+        """Stage, then evaluate what is left serially, in this process."""
+        run = _CampaignRun(spec, spec.cache, progress=spec.progress)
+        pending = run.stage()
+        reference = spec.reference
+        if pending:
+            if reference is None:
+                # lazy on purpose: a fully restored/cached campaign
+                # re-runs without a single simulation, reference included
+                reference = self.technique(spec.target)
+            # captured inside the campaign span, so the per-fault roots
+            # record this exact position in the trace as their parent
+            args = (self.technique, self.detector, spec.threshold,
+                    spec.on_error, OBS.enabled, spec.fault_timeout_s,
+                    spec.target, reference, TraceContext.capture())
+            # batched dispatch needs the technique to implement the
+            # batch protocol; otherwise the knob degrades to per-fault
+            if spec.batch_size > 1 and hasattr(self.technique,
+                                               "evaluate_batch"):
+                self._run_serial_batched(
+                    run, functools.partial(_evaluate_fault_batch, *args),
+                    pending, spec.batch_size)
+            else:
+                self._run_serial(run,
+                                 functools.partial(_evaluate_fault, *args),
+                                 pending)
+        return run.finish(pending, reference, workers=1)
+
+    @staticmethod
+    def _run_serial(run: _CampaignRun, evaluate, pending: List[int]) -> None:
         """In-process evaluation with cooperative deadlines."""
-        with installed(campaign_dl):
+        dl = run.deadline
+        with installed(dl):
             for idx in pending:
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
+                if dl is not None and dl.expired():
+                    run.failures.deadline_hit = True
                     return
                 try:
-                    outcome = evaluate(fault_list[idx])
+                    outcome = evaluate(run.fault_list[idx])
                 except DeadlineExceeded as exc:
-                    if (campaign_dl is not None
-                            and exc.deadline is campaign_dl):
-                        failures.deadline_hit = True
+                    if dl is not None and exc.deadline is dl:
+                        run.failures.deadline_hit = True
                         return
                     raise
-                record(idx, outcome)
+                run.record(idx, outcome)
 
-    # ------------------------------------------------------------------
-    def _run_serial_batched(self, evaluate_batch, fault_list, pending,
-                            n_batch, record, failures: FailureReport,
-                            campaign_dl: Optional[Deadline]) -> None:
+    @staticmethod
+    def _run_serial_batched(run: _CampaignRun, evaluate_batch,
+                            pending: List[int], n_batch: int) -> None:
         """Chunked in-process evaluation: same deadline contract as
         :meth:`_run_serial`, with ``n_batch`` faults handed to the
         batched engine per call and outcomes recorded in fault order."""
-        with installed(campaign_dl):
+        dl = run.deadline
+        with installed(dl):
             for start in range(0, len(pending), n_batch):
                 chunk = pending[start:start + n_batch]
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
+                if dl is not None and dl.expired():
+                    run.failures.deadline_hit = True
                     return
                 try:
                     outcomes = evaluate_batch(
-                        [fault_list[i] for i in chunk])
+                        [run.fault_list[i] for i in chunk])
                 except DeadlineExceeded as exc:
-                    if (campaign_dl is not None
-                            and exc.deadline is campaign_dl):
-                        failures.deadline_hit = True
+                    if dl is not None and exc.deadline is dl:
+                        run.failures.deadline_hit = True
                         return
                     raise
                 for idx, outcome in zip(chunk, outcomes):
-                    record(idx, outcome)
-
-    # ------------------------------------------------------------------
-    def _run_pooled_batched(self, evaluate_batch, evaluate, fault_list,
-                            pending, n_workers, n_batch, record,
-                            failures: FailureReport,
-                            campaign_dl: Optional[Deadline],
-                            fault_timeout_s: Optional[float],
-                            timeout_grace_s: float) -> None:
-        """Chunk-per-future scheduler: each pool worker marches one
-        batch.  Chunks are emitted strictly in fault order (buffered
-        until the next expected chunk lands), so progress callbacks,
-        heartbeats and checkpoints see the serial sequence.
-
-        A chunk worst-cases at ``(len(chunk) + 1)`` per-fault budgets —
-        one batch attempt plus a serial re-run per member — so that is
-        the parent's hard-kill horizon.  A chunk whose worker crashes
-        or goes silent past it is *rescued*: its faults are re-run
-        through the per-fault pooled scheduler (full crash/quarantine/
-        hang protocol), so every fault still ends with a
-        serial-identical outcome.
-        """
-        BrokenExecutor = concurrent.futures.BrokenExecutor
-        chunks = [pending[i:i + n_batch]
-                  for i in range(0, len(pending), n_batch)]
-        buffered: Dict[int, Dict[int, FaultOutcome]] = {}
-        emitted = 0
-        in_flight: Dict[concurrent.futures.Future, int] = {}
-        started: Dict[concurrent.futures.Future, float] = {}
-        next_submit = 0
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
-
-        def chunk_budget(ci: int) -> Optional[float]:
-            if fault_timeout_s is None:
-                return None
-            return ((len(chunks[ci]) + 1) * fault_timeout_s
-                    + timeout_grace_s)
-
-        def kill_pool() -> None:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except Exception:  # noqa: BLE001 - already dead is fine
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def emit_ready() -> None:
-            nonlocal emitted
-            while emitted < len(chunks) and emitted in buffered:
-                outs = buffered.pop(emitted)
-                for idx in chunks[emitted]:
-                    if idx in outs:
-                        record(idx, outs[idx])
-                emitted += 1
-
-        def rescue(chunk_indices: List[int]) -> None:
-            """Re-run a failed chunk through the per-fault pooled
-            scheduler (its own pool, timeouts, quarantine)."""
-            outs: Dict[int, FaultOutcome] = {}
-
-            def collect(idx: int, outcome: FaultOutcome,
-                        save: bool = True) -> None:
-                outs[idx] = outcome
-
-            self._run_pooled(evaluate, fault_list, list(chunk_indices),
-                             min(n_workers, len(chunk_indices)), collect,
-                             failures, campaign_dl, fault_timeout_s,
-                             timeout_grace_s)
-            for ci, chunk in enumerate(chunks):
-                if any(i in outs for i in chunk):
-                    buffered.setdefault(ci, {}).update(
-                        {i: outs[i] for i in chunk if i in outs})
-
-        def handle_crash(crashed: List[int]) -> None:
-            nonlocal pool
-            failures.worker_crashes += 1
-            failures.pools_killed += 1
-            kill_pool()
-            to_rescue = sorted(set(crashed) | set(in_flight.values()))
-            in_flight.clear()
-            started.clear()
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=n_workers)
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.worker_crashes").inc()
-                OBS.metrics.counter("campaign.pools_killed").inc()
-                event("campaign.worker_crash", level="error",
-                      batched=True, chunks=len(to_rescue))
-            for ci in to_rescue:
-                rescue(chunks[ci])
-
-        try:
-            while next_submit < len(chunks) or in_flight:
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
-                    kill_pool()
-                    break
-
-                while next_submit < len(chunks) and len(in_flight) < n_workers:
-                    ci = next_submit
-                    try:
-                        fut = pool.submit(
-                            evaluate_batch,
-                            [fault_list[i] for i in chunks[ci]])
-                    except BrokenExecutor:
-                        handle_crash([ci])
-                        next_submit = ci + 1
-                        break
-                    in_flight[fut] = ci
-                    started[fut] = time.monotonic()
-                    next_submit = ci + 1
-                if not in_flight:
-                    emit_ready()
-                    continue
-
-                waits = []
-                now = time.monotonic()
-                for fut, ci in in_flight.items():
-                    b = chunk_budget(ci)
-                    if b is not None:
-                        waits.append(started[fut] + b - now)
-                if campaign_dl is not None:
-                    waits.append(campaign_dl.remaining())
-                wait_s = max(0.0, min(waits)) + 0.02 if waits else None
-                done_futs, _ = concurrent.futures.wait(
-                    list(in_flight), timeout=wait_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED)
-
-                crashed: List[int] = []
-                for fut in done_futs:
-                    ci = in_flight.pop(fut)
-                    started.pop(fut, None)
-                    try:
-                        outcomes = fut.result()
-                    except BrokenExecutor:
-                        crashed.append(ci)
-                        continue
-                    except Exception:
-                        # genuine error under on_error="raise": propagate
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    buffered[ci] = dict(zip(chunks[ci], outcomes))
-                if crashed:
-                    handle_crash(crashed)
-                    emit_ready()
-                    continue
-
-                if fault_timeout_s is not None and in_flight:
-                    now = time.monotonic()
-                    hung = [ci for fut, ci in in_flight.items()
-                            if now - started[fut] > chunk_budget(ci)]
-                    if hung:
-                        # the whole pool goes (a kill is pool-wide);
-                        # hung and innocent chunks alike are rescued
-                        # through the per-fault protocol
-                        failures.pools_killed += 1
-                        to_rescue = sorted(set(in_flight.values()))
-                        kill_pool()
-                        in_flight.clear()
-                        started.clear()
-                        pool = concurrent.futures.ProcessPoolExecutor(
-                            max_workers=n_workers)
-                        if OBS.enabled:
-                            OBS.metrics.counter(
-                                "campaign.pools_killed").inc()
-                        for ci in to_rescue:
-                            rescue(chunks[ci])
-
-                emit_ready()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        for ci in sorted(buffered):
-            outs = buffered[ci]
-            for idx in chunks[ci]:
-                if idx in outs:
-                    record(idx, outs[idx])
-        buffered.clear()
-
-    # ------------------------------------------------------------------
-    def _run_pooled(self, evaluate, fault_list, pending, n_workers, record,
-                    failures: FailureReport,
-                    campaign_dl: Optional[Deadline],
-                    fault_timeout_s: Optional[float],
-                    timeout_grace_s: float) -> None:
-        """Submit-window scheduler over a worker pool.
-
-        Unlike ``pool.map``, every fault is its own future, which is
-        what enables per-fault wall-clock enforcement and exact blame
-        when a worker dies.  Completion is *emitted* strictly in fault
-        order (buffered until the next expected index arrives), so
-        progress callbacks, heartbeats and checkpoints see the same
-        sequence as a serial run.
-
-        Crash protocol: a dead pool fails every in-flight future, so the
-        first crash can only blame the whole in-flight set (one strike
-        each).  The scheduler then drops to a one-at-a-time window and
-        re-runs the suspects; only the true poison pill crashes alone,
-        collects its second strike and is quarantined — innocents
-        complete and are exonerated.
-        """
-        BrokenExecutor = concurrent.futures.BrokenExecutor
-        queue: List[int] = list(pending)
-        emit_order: List[int] = list(pending)
-        buffered: Dict[int, FaultOutcome] = {}
-        ptr = 0
-        suspects: Set[int] = set()
-        crash_counts: Dict[int, int] = {}
-        in_flight: Dict[concurrent.futures.Future, int] = {}
-        started: Dict[concurrent.futures.Future, float] = {}
-        budget = (None if fault_timeout_s is None
-                  else fault_timeout_s + timeout_grace_s)
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
-
-        def kill_pool() -> None:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except Exception:  # noqa: BLE001 - already dead is fine
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def emit_ready() -> None:
-            nonlocal ptr
-            while ptr < len(emit_order) and emit_order[ptr] in buffered:
-                idx = emit_order[ptr]
-                record(idx, buffered.pop(idx))
-                ptr += 1
-
-        def handle_crash(crash_idxs: Set[int]) -> None:
-            nonlocal pool
-            failures.worker_crashes += 1
-            failures.pools_killed += 1
-            kill_pool()
-            requeue: List[int] = []
-            for i in sorted(crash_idxs):
-                crash_counts[i] = crash_counts.get(i, 0) + 1
-                if crash_counts[i] >= _QUARANTINE_AFTER:
-                    buffered[i] = _quarantine_outcome(fault_list[i],
-                                                      crash_counts[i])
-                    suspects.discard(i)
-                else:
-                    suspects.add(i)
-                    requeue.append(i)
-            in_flight.clear()
-            started.clear()
-            queue[:0] = requeue
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=n_workers)
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.worker_crashes").inc()
-                OBS.metrics.counter("campaign.pools_killed").inc()
-                event("campaign.worker_crash", level="error",
-                      in_flight=len(crash_idxs),
-                      suspects=sorted(fault_list[i].describe()
-                                      for i in suspects))
-
-        try:
-            while queue or in_flight:
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
-                    kill_pool()
-                    break
-
-                # fill the window (one at a time while blame is being
-                # attributed after a crash)
-                cap = 1 if suspects else n_workers
-                while queue and len(in_flight) < cap:
-                    idx = queue.pop(0)
-                    try:
-                        fut = pool.submit(evaluate, fault_list[idx])
-                    except BrokenExecutor:
-                        handle_crash({idx} | set(in_flight.values()))
-                        break
-                    in_flight[fut] = idx
-                    started[fut] = time.monotonic()
-                if not in_flight:
-                    continue
-
-                waits = []
-                if budget is not None:
-                    waits.append(min(started.values()) + budget
-                                 - time.monotonic())
-                if campaign_dl is not None:
-                    waits.append(campaign_dl.remaining())
-                wait_s = max(0.0, min(waits)) + 0.02 if waits else None
-                done_futs, _ = concurrent.futures.wait(
-                    list(in_flight), timeout=wait_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED)
-
-                crashed_idxs: Set[int] = set()
-                for fut in done_futs:
-                    idx = in_flight.pop(fut)
-                    started.pop(fut, None)
-                    try:
-                        outcome = fut.result()
-                    except BrokenExecutor:
-                        crashed_idxs.add(idx)
-                        continue
-                    except Exception:
-                        # genuine technique error under on_error="raise":
-                        # propagate, as the serial path would
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    suspects.discard(idx)
-                    buffered[idx] = outcome
-                if crashed_idxs:
-                    handle_crash(crashed_idxs | set(in_flight.values()))
-                    emit_ready()
-                    continue
-
-                if budget is not None and in_flight:
-                    now = time.monotonic()
-                    hung = {fut: idx for fut, idx in in_flight.items()
-                            if now - started[fut] > budget}
-                    if hung:
-                        # a worker missed every cooperative check — kill
-                        # the pool, time out the overdue faults, re-run
-                        # the innocent in-flight ones
-                        failures.pools_killed += 1
-                        kill_pool()
-                        requeue = []
-                        for fut, idx in list(in_flight.items()):
-                            t0 = started.pop(fut)
-                            if fut in hung:
-                                buffered[idx] = _timeout_outcome(
-                                    fault_list[idx], fault_timeout_s,
-                                    now - t0, killed=True)
-                                suspects.discard(idx)
-                            else:
-                                requeue.append(idx)
-                        in_flight.clear()
-                        queue[:0] = sorted(requeue)
-                        pool = concurrent.futures.ProcessPoolExecutor(
-                            max_workers=n_workers)
-                        if OBS.enabled:
-                            OBS.metrics.counter(
-                                "campaign.pools_killed").inc()
-
-                emit_ready()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        # flush anything completed but unemitted (e.g. results that
-        # arrived out of order before a deadline abort)
-        for idx in sorted(buffered):
-            record(idx, buffered[idx])
-        buffered.clear()
-
-    # ------------------------------------------------------------------
-    def _record_obs(self, result: CampaignResult, sp) -> None:
-        """Merge per-fault snapshots and record campaign-level metrics."""
-        if not OBS.enabled:
-            return
-        m = OBS.metrics
-        busy = 0.0
-        for o in result.outcomes:
-            m.merge(o.metrics)
-            if o.events:
-                OBS.events.extend(o.events)
-            _graft_spans(sp, o)
-            m.histogram("campaign.fault_wall_s").observe(o.elapsed_s)
-            busy += o.elapsed_s
-        m.counter("campaign.runs").inc()
-        m.counter("campaign.faults_evaluated").inc(result.n_faults)
-        m.counter("campaign.errors").inc(result.n_errors)
-        if result.elapsed_s > 0.0 and result.n_faults:
-            m.gauge("campaign.worker_utilization").set(
-                busy / (result.elapsed_s * result.workers))
-        sp.set(n_faults=result.n_faults, n_detected=result.n_detected,
-               n_errors=result.n_errors, coverage=result.coverage,
-               workers=result.workers)
-        if result.n_prescreened:
-            sp.set(n_prescreened=result.n_prescreened)
-        if result.partial or result.failures.degraded:
-            sp.set(partial=result.partial,
-                   failures=result.failures.summary())
-
-    @staticmethod
-    def _picklable(evaluate, fault_list) -> bool:
-        try:
-            pickle.dumps(evaluate)
-            pickle.dumps(fault_list)
-        except Exception:  # noqa: BLE001 - any pickle failure means serial
-            return False
-        return True
+                    run.record(idx, outcome)

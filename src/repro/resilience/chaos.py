@@ -20,6 +20,9 @@ the failures a production service eventually meets.
   snippet and SIGKILLs it the instant an observable predicate turns
   true (a journal line landing, a checkpoint appearing), so "killed
   mid-job" is a precise, repeatable event rather than a sleep race.
+  The snippet leads its own process group, which the context tears
+  down on exit, so the pool workers a killed snippet orphans never
+  outlive the test.
 * :func:`wait_for` — bounded predicate polling for the above.
 
 Everything is deterministic or seedable; a failing chaos test replays
@@ -182,6 +185,11 @@ class ChaosProcess:
     sees the same ``repro`` package as the test process.  SIGKILL (not
     SIGTERM) is the whole point: no atexit hooks, no finally blocks —
     the same death a kernel OOM kill delivers.
+
+    The subprocess starts a new session, so it leads a process group
+    holding everything it spawns.  :meth:`kill_when` kills the leader
+    alone (its workers are orphaned, as after a real crash); leaving the
+    context SIGKILLs whatever is left of the group.
     """
 
     def __init__(self, code: str, env: Optional[Dict[str, str]] = None,
@@ -196,7 +204,8 @@ class ChaosProcess:
     def start(self) -> "ChaosProcess":
         self.proc = subprocess.Popen(
             [sys.executable, "-c", self.code], env=self.env, cwd=self.cwd,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
         return self
 
     def kill_when(self, predicate: Callable[[], bool],
@@ -241,6 +250,11 @@ class ChaosProcess:
         if self.proc is not None and self.proc.poll() is None:
             os.kill(self.proc.pid, signal.SIGKILL)
             self.proc.wait()
+        try:
+            # the group id is the leader's pid (start_new_session)
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # nothing of the group is left
         for stream in (self.proc.stdout, self.proc.stderr):
             if stream is not None:
                 stream.close()

@@ -11,9 +11,11 @@ background thread, so ``submit()`` returns immediately and the calling
 thread blocks only where it chooses to (``job.result()`` /
 ``gather()``).
 
-Everything an offline campaign guarantees carries over, because the
-scheduler reuses the very same per-fault evaluation functions
-(:func:`repro.faults.campaign._evaluate_fault` and friends):
+This is the package's only pooled executor: ``FaultCampaign.run`` with
+``workers > 1`` is one job on a private scheduler (:func:`run_hosted`).
+Staging and outcome bookkeeping are the campaign's own
+(:class:`repro.faults.campaign._CampaignRun`) and the workers run the
+very same per-fault evaluation functions, so:
 
 * outcomes are recorded **in fault order** per job, so progress
   callbacks, heartbeats and checkpoints see the serial sequence;
@@ -21,8 +23,12 @@ scheduler reuses the very same per-fault evaluation functions
   that blows past its budget is hard-killed with the pool, its faults
   re-dispatched individually and the unresponsive one recorded as a
   structured timeout;
-* a fault that kills its worker twice is quarantined as a poison pill
-  (innocent shard-mates are re-dispatched and exonerated);
+* after a worker crash the struck faults are re-run one at a time with
+  nothing else on the pool; only a fault that kills its worker twice is
+  quarantined as a poison pill (innocents are exonerated, and other
+  jobs' in-flight shards are re-queued intact);
+* an expired campaign deadline kills the job's in-flight shards with
+  the pool; outcomes already computed are kept, the rest are skipped;
 * ``spec.checkpoint``/``resume`` and a shared
   :class:`~repro.service.cache.ResultCache` short-circuit any fault
   ever computed — across jobs, runs and processes.
@@ -40,7 +46,6 @@ import enum
 import functools
 import itertools
 import os
-import pickle
 import re
 import threading
 import time
@@ -53,19 +58,21 @@ from repro.errors import CampaignError
 from repro.faults.campaign import (
     CampaignResult,
     FaultOutcome,
+    _CampaignRun,
     _QUARANTINE_AFTER,
     _evaluate_fault,
     _evaluate_fault_batch,
-    _graft_spans,
+    _graft_outcomes,
+    _merge_obs,
+    _picklable,
     _quarantine_outcome,
+    _record_ledger,
     _timeout_outcome,
 )
 from repro.obs.core import OBS, event
 from repro.obs.core import span as obs_span
-from repro.obs.health import ProgressTracker, ServiceProgress
+from repro.obs.health import ServiceProgress
 from repro.obs.trace import Span, TraceContext
-from repro.resilience.checkpoint import CampaignCheckpoint
-from repro.resilience.failure import FailureReport
 from repro.service.cache import ResultCache
 from repro.service.queue import JobRecord, PersistentJobQueue
 from repro.service.spec import CampaignSpec
@@ -135,7 +142,7 @@ class CampaignJob:
         if pending is None:
             return
         result, job_span = pending
-        CampaignScheduler._merge_obs(result)
+        _merge_obs(result)
         if job_span is not None:
             OBS.tracer.spans.append(job_span)
 
@@ -158,28 +165,36 @@ class _Shard:
 
     kind: str                    # "ref" | "faults"
     indices: List[int] = field(default_factory=list)
+    #: a single fault struck by a worker crash, awaiting its blame run
+    #: (dispatched alone on the pool; see ``_fill_slots``)
+    suspect: bool = False
     #: open dispatch span while the shard is in flight (None when the
     #: job is untraced); detached from any tracer until grafted.
     span: Any = field(default=None, compare=False)
 
 
-class _JobRun:
-    """Dispatcher-side state for one admitted job."""
+class _JobRun(_CampaignRun):
+    """Dispatcher-side state for one admitted job: the campaign's shared
+    staging and bookkeeping plus the job's dispatch state."""
 
-    def __init__(self, job: CampaignJob, seq: int) -> None:
+    def __init__(self, job: CampaignJob, seq: int,
+                 cache: Optional[ResultCache], hosted: bool) -> None:
         self.job = job
+        self.last_progress: Any = None
+        super().__init__(job.spec, cache, progress=self._progress,
+                         label="" if hosted else job.id)
         self.seq = seq
-        self.spec = job.spec
-        self.fault_list: List[Any] = list(job.spec.faults)
-        self.total = len(self.fault_list)
-        self.failures = FailureReport()
-        self.outcomes: Dict[int, FaultOutcome] = {}
         self.buffered: Dict[int, FaultOutcome] = {}
         self.emit_queue: Deque[int] = deque()
         self.ready: Deque[_Shard] = deque()
+        #: crash suspects awaiting their blame run
+        self.suspects: Deque[_Shard] = deque()
         self.inflight = 0
         self.dispatched = 0
         self.crash_counts: Dict[int, int] = {}
+        #: worker crashes this job shared with other jobs' shards, so
+        #: not yet charged to it (see ``_handle_crash``)
+        self.shared_crashes = 0
         self.reference: Any = job.spec.reference
         self.have_reference = job.spec.reference is not None
         self.evaluate = None
@@ -187,21 +202,15 @@ class _JobRun:
         self.pooled = True
         self.collect_obs = False
         #: detached "service.job" span covering admission -> finalize;
-        #: outcome span forests are grafted under it as they land, and
-        #: it joins the ambient tracer's forest at finalize.  Touched
-        #: only on the dispatcher thread until then.
+        #: outcome span forests are grafted under it at finalize, when
+        #: it joins the ambient tracer's forest.  Touched only on the
+        #: dispatcher thread until then.
         self.job_span: Optional[Span] = None
         self.trace_ctx: Optional[TraceContext] = None
-        self.ckpt: Optional[CampaignCheckpoint] = None
-        self.cache: Optional[ResultCache] = None
-        self.context_key: Optional[str] = None
-        self.surrogate_key: Optional[str] = None
-        self.cache_stats0: Any = None
-        self.tracker: Optional[ProgressTracker] = None
-        self.last_progress: Any = None
-        self.deadline_end: Optional[float] = None
         self.deadline_hit = False
-        self.t0 = time.perf_counter()
+        #: what the user's progress callback raised; it fails the job
+        #: (as it would a serial run), never the dispatcher
+        self.error: Optional[Exception] = None
 
     @property
     def share(self) -> float:
@@ -210,11 +219,47 @@ class _JobRun:
         return self.dispatched / self.total if self.total else 1.0
 
     def shard_budget(self, shard: _Shard,
-                    grace: float) -> Optional[float]:
+                     grace: float) -> Optional[float]:
         timeout = self.spec.fault_timeout_s
         if timeout is None or shard.kind != "faults":
             return None
         return (len(shard.indices) + 1) * timeout + grace
+
+    def _progress(self, progress: Any) -> None:
+        self.last_progress = progress
+        if self.spec.progress is None or self.error is not None:
+            return
+        try:
+            self.spec.progress(progress)
+        except Exception as exc:  # noqa: BLE001 - see ``error``
+            self.error = exc
+
+    def prescreen(self, pending: List[int]) -> List[int]:
+        t_pre = time.perf_counter()
+        escalated = super().prescreen(pending)
+        if self.job_span is not None:
+            node = Span("service.prescreen",
+                        attrs={"job": self.job.id,
+                               "n_faults": len(pending),
+                               "decided": len(pending) - len(escalated),
+                               "escalated": len(escalated)},
+                        t_start=t_pre)
+            node.close()
+            node.pid = os.getpid()
+            self.job_span.children.append(node)
+        return escalated
+
+    def save_checkpoint(self, force: bool = False) -> None:
+        """Checkpoint writes are best-effort inside the service: a full
+        disk or failed rename costs recomputation after a crash, not
+        the dispatcher."""
+        try:
+            super().save_checkpoint(force)
+        except OSError:
+            if OBS.enabled:
+                OBS.metrics.counter("service.checkpoint_errors").inc()
+                event("service.checkpoint_error", level="warning",
+                      job=self.job.id, path=self.ckpt.path)
 
 
 def _evaluate_shard(evaluate, faults: List[Any]) -> List[FaultOutcome]:
@@ -298,6 +343,10 @@ class CampaignScheduler:
         self._threads: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._active: List[_JobRun] = []
         self._jobs: List[CampaignJob] = []
+        #: set by :func:`run_hosted`: the scheduler serves one
+        #: ``FaultCampaign.run`` call, which owns the trace, obs merge
+        #: and ledger row
+        self._hosted = False
 
     # -- public API ----------------------------------------------------
     def submit(self, spec: CampaignSpec,
@@ -326,9 +375,12 @@ class CampaignScheduler:
         # trace context and ledger are captured here, on the submitting
         # thread, while the submitter's observe() scope is ambient — the
         # dispatcher thread sees a different (possibly disabled) scope
-        with obs_span("service.submit", job=job.id,
-                      spec=job.spec.describe()):
+        if self._hosted:
             job.trace_ctx = TraceContext.capture()
+        else:
+            with obs_span("service.submit", job=job.id,
+                          spec=job.spec.describe()):
+                job.trace_ctx = TraceContext.capture()
         job.ledger = OBS.ledger
         self._jobs.append(job)
         self._ensure_thread()
@@ -507,10 +559,12 @@ class CampaignScheduler:
     def _admit(self, job: CampaignJob) -> None:
         seq = (next(self._seq) if job.recovered_seq is None
                else job.recovered_seq)
-        jr = _JobRun(job, seq)
+        cache = job.spec.cache if job.spec.cache is not None else self.cache
         try:
+            jr = _JobRun(job, seq, cache, self._hosted)
             self._prepare(jr)
-        except Exception as exc:  # noqa: BLE001 - bad spec fails its job
+        except (Exception, KeyboardInterrupt, SystemExit) as exc:
+            # a bad spec (or, hosted, a raising reference) fails its job
             job.state = JobState.FAILED
             self._mark_queue(job, "failed", error=exc)
             if not job.done():
@@ -529,7 +583,11 @@ class CampaignScheduler:
         # shipped snapshots are merged/grafted at finalize only if a
         # scope is still enabled there
         jr.collect_obs = OBS.enabled or jr.job.trace_ctx is not None
-        if jr.collect_obs:
+        if self._hosted:
+            # the hosting campaign's span is the parent of every span
+            # this job's workers record
+            jr.trace_ctx = jr.job.trace_ctx
+        elif jr.collect_obs:
             jr.job_span = Span("service.job",
                                attrs={"job": jr.job.id,
                                       "spec": spec.describe()})
@@ -539,99 +597,20 @@ class CampaignScheduler:
                 jr.trace_ctx = TraceContext(
                     trace_id=jr.job.trace_ctx.trace_id,
                     parent="service.job")
-        jr.cache = spec.cache if spec.cache is not None else self.cache
-        if jr.cache is not None:
-            jr.context_key = spec.context_key()
-            jr.cache_stats0 = jr.cache.stats.snapshot()
-            if spec.prescreen == "surrogate":
-                # surrogate verdicts live under their own context key —
-                # never replayed into unprescreened runs (see
-                # FaultCampaign.run, which this mirrors exactly)
-                jr.surrogate_key = spec.surrogate_context_key()
-        jr.tracker = ProgressTracker(jr.total, callback=self._progress_cb(jr),
-                                     heartbeat_every=spec.heartbeat_every,
-                                     label=jr.job.id)
-        if spec.campaign_deadline_s is not None:
-            jr.deadline_end = time.monotonic() + spec.campaign_deadline_s
 
-        restored: Dict[int, FaultOutcome] = {}
-        if spec.checkpoint is not None:
-            jr.ckpt = CampaignCheckpoint(spec.checkpoint, spec.content_key(),
-                                         every=spec.checkpoint_every)
-            if spec.resume:
-                restored = {i: o for i, o in jr.ckpt.load().items()
-                            if 0 <= i < jr.total}
-        # checkpoint-restored outcomes also seed the cache: they are
-        # genuine deterministic verdicts this process never has to
-        # recompute, here or in any other job
-        for idx in sorted(restored):
-            jr.dispatched += 1
-            self._record(jr, idx, restored[idx], save=False)
-
-        pending: List[int] = []
-        for idx in range(jr.total):
-            if idx in jr.outcomes:
-                continue
-            if jr.cache is not None:
-                # prescreened jobs probe the surrogate context first
-                # (silently — the transient context owns the miss
-                # counter), then the shared transient context
-                hit = None
-                if jr.surrogate_key is not None:
-                    hit = jr.cache.get(jr.surrogate_key,
-                                       jr.fault_list[idx],
-                                       self._threshold(jr),
-                                       count_miss=False)
-                if hit is None:
-                    hit = jr.cache.get(jr.context_key, jr.fault_list[idx],
-                                       self._threshold(jr))
-                if hit is not None:
-                    jr.dispatched += 1
-                    self._record(jr, idx, hit, store=False)
-                    continue
-            pending.append(idx)
-
-        if pending and spec.prescreen == "surrogate":
-            # the prescreen runs here on the dispatcher, before the MNA
-            # reference is even scheduled: a fully surrogate-decided job
-            # performs zero transient simulations (same staging as
-            # FaultCampaign.run — checkpoint, cache, prescreen, dispatch)
-            from repro.surrogate.prescreen import SurrogatePrescreen
-            t_pre = time.perf_counter()
-            prescreen = SurrogatePrescreen(spec.technique, spec.detector,
-                                           self._threshold(jr),
-                                           config=spec.prescreen_config)
-            verdicts = prescreen.classify(
-                spec.target, [jr.fault_list[i] for i in pending])
-            escalated: List[int] = []
-            for idx, verdict in zip(pending, verdicts):
-                if verdict is None:
-                    escalated.append(idx)
-                else:
-                    jr.dispatched += 1
-                    self._record(jr, idx, verdict)
-            if jr.job_span is not None:
-                node = Span("service.prescreen",
-                            attrs={"job": jr.job.id,
-                                   "n_faults": len(pending),
-                                   "decided": len(pending) - len(escalated),
-                                   "escalated": len(escalated)},
-                            t_start=t_pre)
-                node.close()
-                node.pid = os.getpid()
-                jr.job_span.children.append(node)
-            pending = escalated
-
+        pending = jr.stage()
+        jr.dispatched = len(jr.outcomes)
         jr.emit_queue = deque(pending)
         if not pending:
             return
-
-        evaluate_probe = functools.partial(
-            _evaluate_fault, spec.technique, spec.detector,
-            self._threshold(jr), spec.on_error, jr.collect_obs,
-            spec.fault_timeout_s, spec.target, None, jr.trace_ctx)
-        jr.pooled = self._picklable(evaluate_probe, jr.fault_list)
-
+        jr.pooled = _picklable(spec.technique, spec.detector, spec.target,
+                               spec.reference, jr.fault_list)
+        if not jr.have_reference and self._hosted:
+            # the host waits on this job inside its campaign span, so the
+            # reference runs here, in that span and obs scope, exactly
+            # where a serial run computes it
+            jr.reference = spec.technique(spec.target)
+            jr.have_reference = True
         if jr.have_reference:
             self._build_shards(jr)
         else:
@@ -639,98 +618,26 @@ class CampaignScheduler:
             # so a slow reference never stalls other jobs' shards
             jr.ready.append(_Shard("ref"))
 
-    def _threshold(self, jr: _JobRun) -> float:
-        return jr.spec.threshold
-
     def _build_shards(self, jr: _JobRun) -> None:
         spec = jr.spec
-        evaluate = functools.partial(
-            _evaluate_fault, spec.technique, spec.detector,
-            self._threshold(jr), spec.on_error, jr.collect_obs,
-            spec.fault_timeout_s, spec.target, jr.reference, jr.trace_ctx)
-        jr.evaluate = evaluate
+        args = (spec.technique, spec.detector, spec.threshold,
+                spec.on_error, jr.collect_obs, spec.fault_timeout_s,
+                spec.target, jr.reference, jr.trace_ctx)
+        jr.evaluate = functools.partial(_evaluate_fault, *args)
         use_batch = (spec.batch_size > 1
                      and hasattr(spec.technique, "evaluate_batch"))
         if use_batch:
-            jr.evaluate_batch = functools.partial(
-                _evaluate_fault_batch, spec.technique, spec.detector,
-                self._threshold(jr), spec.on_error, jr.collect_obs,
-                spec.fault_timeout_s, spec.target, jr.reference,
-                jr.trace_ctx)
+            jr.evaluate_batch = functools.partial(_evaluate_fault_batch,
+                                                  *args)
         width = spec.batch_size if use_batch else self.shard_size
         pending = list(jr.emit_queue)
         for start in range(0, len(pending), width):
             jr.ready.append(_Shard("faults", pending[start:start + width]))
 
-    def _progress_cb(self, jr: _JobRun):
-        user_cb = jr.spec.progress
-
-        def cb(progress: Any) -> None:
-            jr.last_progress = progress
-            if user_cb is not None:
-                user_cb(progress)
-        return cb
-
-    @staticmethod
-    def _picklable(evaluate, fault_list) -> bool:
-        try:
-            pickle.dumps(evaluate)
-            pickle.dumps(fault_list)
-        except Exception:  # noqa: BLE001 - any failure means thread pool
-            return False
-        return True
-
-    # -- recording -----------------------------------------------------
-    def _record(self, jr: _JobRun, idx: int, outcome: FaultOutcome,
-                store: bool = True, save: bool = True) -> None:
-        jr.outcomes[idx] = outcome
-        if outcome.timed_out:
-            jr.failures.timeouts.append(outcome.fault.describe())
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.fault_timeouts").inc()
-                event("campaign.fault_timeout", level="warning",
-                      fault=outcome.fault.describe(),
-                      budget_s=jr.spec.fault_timeout_s, job=jr.job.id)
-        if outcome.quarantined:
-            jr.failures.quarantined.append(outcome.fault.describe())
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.quarantined").inc()
-                event("campaign.quarantine", level="error",
-                      fault=outcome.fault.describe(), job=jr.job.id)
-        if (store and jr.cache is not None
-                and not getattr(outcome, "from_cache", False)):
-            if outcome.decided_by == "surrogate":
-                if jr.surrogate_key is not None:
-                    jr.cache.put(jr.surrogate_key, outcome)
-            else:
-                jr.cache.put(jr.context_key, outcome)
-        if jr.job_span is not None:
-            _graft_spans(jr.job_span, outcome)
-        jr.tracker.update(outcome)
-        if jr.ckpt is not None and save:
-            self._save_ckpt(jr)
-
-    def _save_ckpt(self, jr: _JobRun, force: bool = False) -> None:
-        """Checkpoint writes are best-effort inside the service: a full
-        disk or failed rename costs recomputation after a crash, not
-        the dispatcher (standalone campaign runs keep raising)."""
-        try:
-            if force:
-                jr.ckpt.save(jr.outcomes, jr.total)
-            else:
-                jr.ckpt.maybe_save(jr.outcomes, jr.total)
-        except OSError:
-            if OBS.enabled:
-                OBS.metrics.counter("service.checkpoint_errors").inc()
-                event("service.checkpoint_error", level="warning",
-                      job=jr.job.id, path=jr.ckpt.path)
-
     def _emit_ready(self, jr: _JobRun) -> None:
         while jr.emit_queue and jr.emit_queue[0] in jr.buffered:
             idx = jr.emit_queue.popleft()
-            self._record(jr, idx, jr.buffered.pop(idx))
-        # quarantine/timeout verdicts buffered out of order still land
-        # once their turn comes; nothing else to do here
+            jr.record(idx, jr.buffered.pop(idx))
 
     # -- dispatch loop -------------------------------------------------
     async def _dispatch(self) -> None:
@@ -794,17 +701,21 @@ class CampaignScheduler:
             job._future.set_exception(CampaignError("job cancelled"))
 
     def _sweep_deadlines(self, inflight) -> None:
-        now = time.monotonic()
         for jr in list(self._active):
             if jr.job.cancel_requested:
                 jr.ready.clear()
                 self._cancel_job(jr.job, jr)
                 continue
-            if (jr.deadline_end is not None and not jr.deadline_hit
-                    and now > jr.deadline_end):
+            if (jr.deadline is not None and not jr.deadline_hit
+                    and jr.deadline.expired()):
                 jr.deadline_hit = True
                 jr.failures.deadline_hit = True
+                if jr.pooled and jr.inflight:
+                    # the job's shards die with the pool (a kill is
+                    # pool-wide); other jobs' shards are rescued
+                    self._handle_pool_break(inflight)
                 jr.ready.clear()
+                jr.suspects.clear()
 
     def _next_shard(self) -> Optional[Tuple[_JobRun, _Shard]]:
         candidates = [jr for jr in self._active if jr.ready]
@@ -814,9 +725,25 @@ class CampaignScheduler:
                  key=lambda j: (-j.job.priority, j.share, j.seq))
         return jr, jr.ready.popleft()
 
+    def _next_suspect(self, inflight) -> Optional[Tuple[_JobRun, _Shard]]:
+        """The blame pass after a worker crash: while any crash suspect
+        is queued or running, suspects run one at a time with no other
+        shard on the pool, so a crash can only be the running suspect's
+        doing.  Returns ``None`` while the pass must wait."""
+        if any(jr.pooled for jr, _, _ in inflight.values()):
+            return None
+        for jr in self._active:
+            if jr.suspects:
+                return jr, jr.suspects.popleft()
+        return None
+
     def _fill_slots(self, inflight) -> None:
         while len(inflight) < self.workers:
-            pick = self._next_shard()
+            if (any(jr.suspects for jr in self._active)
+                    or any(s.suspect for _, s, _ in inflight.values())):
+                pick = self._next_suspect(inflight)
+            else:
+                pick = self._next_shard()
             if pick is None:
                 return
             jr, shard = pick
@@ -840,7 +767,7 @@ class CampaignScheduler:
             try:
                 fut = self._loop.run_in_executor(self._executor(jr), fn)
             except concurrent.futures.BrokenExecutor:
-                jr.ready.appendleft(shard)
+                _requeue(jr, shard)
                 self._handle_pool_break(inflight)
                 continue
             jr.inflight += 1
@@ -861,13 +788,7 @@ class CampaignScheduler:
         from the cache (hits are buffered for in-order emission)."""
         fresh: List[int] = []
         for idx in shard.indices:
-            hit = None
-            if jr.surrogate_key is not None:
-                hit = jr.cache.get(jr.surrogate_key, jr.fault_list[idx],
-                                   self._threshold(jr), count_miss=False)
-            if hit is None:
-                hit = jr.cache.get(jr.context_key, jr.fault_list[idx],
-                                   self._threshold(jr), count_miss=False)
+            hit = jr.cached(idx, count_miss=False)
             if hit is not None:
                 jr.buffered[idx] = hit
                 jr.dispatched += 1
@@ -886,8 +807,8 @@ class CampaignScheduler:
             if budget is not None:
                 waits.append(t0 + budget - now)
         for jr in self._active:
-            if jr.deadline_end is not None and not jr.deadline_hit:
-                waits.append(jr.deadline_end - now)
+            if jr.deadline is not None and not jr.deadline_hit:
+                waits.append(jr.deadline.remaining())
         wait_s = max(0.0, min(waits)) + 0.02 if waits else 0.5
 
         wake_task = asyncio.ensure_future(self._wake.wait())
@@ -909,7 +830,9 @@ class CampaignScheduler:
             except concurrent.futures.BrokenExecutor:
                 crashed.append((jr, shard))
                 continue
-            except Exception as exc:  # noqa: BLE001 - fails this job only
+            except (Exception, KeyboardInterrupt, SystemExit) as exc:
+                # a worker-side error fails this job only; an interrupt
+                # raised in a worker rides back on its future too
                 self._close_shard_span(jr, shard, failed="exception")
                 self._fail_job(jr, exc)
                 continue
@@ -957,17 +880,50 @@ class CampaignScheduler:
             jr.job._future.set_exception(exc)
 
     def _handle_crash(self, inflight, crashed) -> None:
-        """A worker died: every pooled in-flight shard is suspect.  The
-        pool is rebuilt; crashed shards are re-dispatched one fault at
-        a time with a strike each, and a fault striking
-        ``_QUARANTINE_AFTER`` times is recorded as a poison pill."""
+        """A worker died, failing the pooled futures in flight.  Each
+        crashed shard's faults take a strike and come back as
+        single-fault suspects for the blame pass (:meth:`_next_suspect`);
+        a fault reaching ``_QUARANTINE_AFTER`` strikes — in practice,
+        crashing again while running alone — is quarantined as a poison
+        pill, and innocents complete and are exonerated.  The crash is
+        charged to the job when only its shards were struck; a crash
+        struck across jobs is charged once blame is clear, to the job
+        whose suspect then crashes alone."""
+        struck = list({id(jr): jr for jr, _ in crashed}.values())
         for jr, shard in crashed:
-            jr.failures.worker_crashes += 1
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.worker_crashes").inc()
             self._close_shard_span(jr, shard, failed="worker_crash")
-            self._requeue_singles(jr, shard, strike=True)
+            self._strike(jr, shard)
+        for jr in struck:
+            if len(struck) > 1:
+                jr.shared_crashes += 1
+                continue
+            n, jr.shared_crashes = 1 + jr.shared_crashes, 0
+            jr.failures.worker_crashes += n
+            jr.failures.pools_killed += n
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.worker_crashes").inc(n)
+                OBS.metrics.counter("campaign.pools_killed").inc(n)
+                event("campaign.worker_crash", level="error",
+                      suspects=[jr.fault_list[s.indices[0]].describe()
+                                for s in jr.suspects],
+                      **jr.job_fields())
         self._handle_pool_break(inflight)
+
+    def _strike(self, jr: _JobRun, shard: _Shard) -> None:
+        if shard.kind == "ref":
+            jr.ready.appendleft(shard)
+            return
+        jr.dispatched -= len(shard.indices)
+        for idx in reversed(shard.indices):
+            jr.crash_counts[idx] = jr.crash_counts.get(idx, 0) + 1
+            if jr.crash_counts[idx] >= _QUARANTINE_AFTER:
+                jr.buffered[idx] = _quarantine_outcome(
+                    jr.fault_list[idx], jr.crash_counts[idx])
+                jr.dispatched += 1
+            else:
+                jr.suspects.appendleft(_Shard("faults", [idx],
+                                              suspect=True))
+        self._emit_ready(jr)
 
     def _handle_pool_break(self, inflight) -> None:
         """Kill + rebuild the shared pool, rescuing innocent in-flight
@@ -984,32 +940,13 @@ class CampaignScheduler:
             if shard.kind == "faults":
                 jr.dispatched -= len(shard.indices)
             self._close_shard_span(jr, shard, failed="pool_killed")
-            jr.ready.appendleft(shard)
+            _requeue(jr, shard)
             fut.add_done_callback(_swallow)
-
-    def _requeue_singles(self, jr: _JobRun, shard: _Shard,
-                         strike: bool) -> None:
-        jr.failures.pools_killed += 1
-        if OBS.enabled:
-            OBS.metrics.counter("campaign.pools_killed").inc()
-        if shard.kind == "ref":
-            jr.ready.appendleft(shard)
-            return
-        jr.dispatched -= len(shard.indices)
-        for idx in reversed(shard.indices):
-            if strike:
-                jr.crash_counts[idx] = jr.crash_counts.get(idx, 0) + 1
-                if jr.crash_counts[idx] >= _QUARANTINE_AFTER:
-                    jr.buffered[idx] = _quarantine_outcome(
-                        jr.fault_list[idx], jr.crash_counts[idx])
-                    jr.dispatched += 1
-                    continue
-            jr.ready.appendleft(_Shard("faults", [idx]))
-        self._emit_ready(jr)
 
     def _handle_hangs(self, inflight) -> None:
         """A shard past its wall-clock budget missed every cooperative
-        check: kill the pool, time out single-fault shards, split
+        check: kill the pool, time out single-fault shards (a hung crash
+        suspect too: a hang is timed out, never struck), split
         multi-fault shards for individual blame."""
         now = time.monotonic()
         hung = [(fut, jr, shard, t0)
@@ -1044,55 +981,33 @@ class CampaignScheduler:
     def _maybe_finalize(self, jr: _JobRun) -> None:
         if jr.job.state is not JobState.RUNNING:
             return
-        work_left = jr.ready or jr.inflight
+        if jr.error is not None:
+            self._fail_job(jr, jr.error)
+            return
         if jr.deadline_hit:
             if jr.inflight:
-                return
-        elif work_left or jr.emit_queue:
+                return  # thread-pool shards cannot be killed
+        elif jr.ready or jr.suspects or jr.inflight or jr.emit_queue:
             return
         self._finalize(jr)
 
     def _finalize(self, jr: _JobRun) -> None:
         if jr in self._active:
             self._active.remove(jr)
-        unevaluated = [i for i in jr.emit_queue if i not in jr.outcomes]
-        if unevaluated:
-            jr.failures.skipped.extend(
-                jr.fault_list[i].describe() for i in unevaluated)
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.skipped").inc(len(unevaluated))
-                event("campaign.deadline", level="warning",
-                      skipped=len(unevaluated), job=jr.job.id,
-                      budget_s=jr.spec.campaign_deadline_s)
-        result = CampaignResult(
-            target_name=jr.spec.name
-            or getattr(jr.spec.target, "name",
-                       type(jr.spec.target).__name__),
-            reference=jr.reference,
-            threshold=self._threshold(jr),
-            failures=jr.failures)
-        result.outcomes = [jr.outcomes[i] for i in sorted(jr.outcomes)]
-        result.partial = bool(jr.failures.skipped or jr.failures.deadline_hit
-                              or jr.failures.timeouts
-                              or jr.failures.quarantined)
-        if jr.ckpt is not None:
-            self._save_ckpt(jr, force=True)
-        result.workers = self.workers
-        result.elapsed_s = time.perf_counter() - jr.t0
-        if jr.cache is not None and jr.cache_stats0 is not None:
-            result.cache_stats = jr.cache.stats.delta(jr.cache_stats0)
+        # outcomes that landed out of order before the campaign deadline
+        # cut the job short are kept, recorded in fault order
+        for idx in sorted(jr.buffered):
+            jr.record(idx, jr.buffered.pop(idx))
+        if jr.error is not None:
+            self._fail_job(jr, jr.error)
+            return
+        result = jr.finish(jr.emit_queue, jr.reference, self.workers)
         if jr.job_span is not None:
-            jr.job_span.set(n_faults=result.n_faults,
-                            n_detected=result.n_detected,
-                            coverage=result.coverage)
-            if result.n_prescreened:
-                jr.job_span.set(n_prescreened=result.n_prescreened)
-            if result.partial:
-                jr.job_span.set(partial=True)
+            _graft_outcomes(jr.job_span, result)
             jr.job_span.close()
-        if jr.collect_obs:
+        if jr.collect_obs and not self._hosted:
             if OBS.enabled:
-                self._merge_obs(result)
+                _merge_obs(result)
                 if jr.job_span is not None:
                     # the finished job span joins the ambient forest as
                     # a root: Session.report()/exports see one
@@ -1107,36 +1022,14 @@ class CampaignScheduler:
         if not jr.job.done():
             jr.job._future.set_result(result)
         self._mark_queue(jr.job, "done")
-        ledger = jr.job.ledger if jr.job.ledger is not None else OBS.ledger
-        if ledger is not None:
-            # persistence is best-effort: a full disk must not fail a
-            # job that already computed its result
-            try:
-                ledger.record_campaign(result, key=jr.spec.content_key(),
-                                       name=result.target_name,
-                                       prescreen=jr.spec.prescreen,
-                                       job=jr.job.id)
-            except Exception:  # noqa: BLE001
-                pass
+        if not self._hosted:
+            _record_ledger(jr.job.ledger if jr.job.ledger is not None
+                           else OBS.ledger, result, jr.spec, job=jr.job.id)
         self._publish_status(force=True)
-
-    @staticmethod
-    def _merge_obs(result: CampaignResult) -> None:
-        """Fold per-fault snapshots back into the ambient scope — the
-        same parity contract as a pooled campaign run."""
-        m = OBS.metrics
-        for o in result.outcomes:
-            m.merge(o.metrics)
-            if o.events:
-                OBS.events.extend(o.events)
-            m.histogram("campaign.fault_wall_s").observe(o.elapsed_s)
-        m.counter("campaign.runs").inc()
-        m.counter("campaign.faults_evaluated").inc(result.n_faults)
-        m.counter("campaign.errors").inc(result.n_errors)
 
     def _report_health(self, inflight) -> None:
         self._publish_status()
-        if not OBS.enabled:
+        if not OBS.enabled or self._hosted:
             return
         OBS.metrics.gauge("service.jobs_active").set(len(self._active))
         OBS.metrics.gauge("service.shards_inflight").set(len(inflight))
@@ -1157,7 +1050,7 @@ class CampaignScheduler:
     def _publish_status(self, force: bool = False) -> None:
         """Atomically refresh the dashboard status file (throttled;
         no-op unless a status path is configured)."""
-        if self.status_path is None:
+        if self.status_path is None or self._hosted:
             return
         now = time.monotonic()
         if not force and now - self._status_last < 0.5:
@@ -1168,6 +1061,30 @@ class CampaignScheduler:
             write_status(status_snapshot(self), self.status_path)
         except OSError:  # pragma: no cover - status is best-effort
             pass
+
+
+def run_hosted(spec: CampaignSpec, workers: int) -> CampaignResult:
+    """Run one resolved spec as the single job of a private scheduler:
+    the pooled path of ``FaultCampaign.run(workers>1)``.
+
+    The calling campaign owns the trace span, the obs merge and the
+    ledger row, so the job opens no service spans, stamps no job id on
+    its events, publishes no service gauges or status file, and leaves
+    its outcomes' shipped obs payloads for the caller.  Each shard holds
+    one fault (or one ``batch_size`` chunk), so workers pick up work
+    fault by fault.
+    """
+    sched = CampaignScheduler(workers=workers, shard_size=1,
+                              timeout_grace_s=spec.timeout_grace_s,
+                              name="campaign")
+    sched._hosted = True
+    with sched:
+        return sched.submit(spec).result()
+
+
+def _requeue(jr: _JobRun, shard: _Shard) -> None:
+    """Put an undelivered shard back at the head of its queue."""
+    (jr.suspects if shard.suspect else jr.ready).appendleft(shard)
 
 
 def _swallow(fut) -> None:

@@ -651,6 +651,26 @@ class TestChaosRestart:
         assert PersistentJobQueue(path).get(job.id).state == "done"
 
 
+def _stat(pid: int):
+    """``(state, pgrp)`` of a process from /proc, or ``None`` once it is
+    gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    # fields after the parenthesised command: state ppid pgrp ...
+    state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+    return state, int(pgrp)
+
+
+def _live_group_members(pgid: int):
+    """Pids of live (non-zombie) processes in process group ``pgid``."""
+    return [int(e) for e in os.listdir("/proc") if e.isdigit()
+            and (st := _stat(int(e))) is not None
+            and st[1] == pgid and st[0] != "Z"]
+
+
 class TestChaosHarness:
     def test_injection_schedule_is_exact(self, tmp_path):
         src = tmp_path / "a"
@@ -698,6 +718,29 @@ class TestChaosHarness:
         assert p.read_text() == '{"a": 1}\n{"b": '
         corrupt_tail(str(p), garbage=b"@@@@", keep_newline=False)
         assert p.read_bytes().endswith(b"@@@@")
+
+    @pytest.mark.chaos
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="process-group scan reads /proc")
+    def test_context_exit_kills_the_whole_process_group(self, tmp_path):
+        """A killed snippet orphans its children (as a real crash does);
+        leaving the context must not let any of them survive."""
+        marker = tmp_path / "child.pid"
+        code = ("import subprocess, sys, time; "
+                "child = subprocess.Popen([sys.executable, '-c', "
+                "'import time; time.sleep(60)']); "
+                f"open({str(marker)!r}, 'w').write(str(child.pid)); "
+                "time.sleep(60)")
+        with ChaosProcess(code) as proc:
+            proc.kill_when(marker.exists, what="child spawned")
+            group = proc.proc.pid
+            child = int(marker.read_text())
+            # the kill took the leader only; its child lives on in the
+            # leader's own group
+            assert child in _live_group_members(group)
+        assert proc.was_killed()
+        wait_for(lambda: not _live_group_members(group), timeout=5.0,
+                 what="process group teardown")
 
     def test_wait_for_times_out_with_context(self):
         with pytest.raises(TimeoutError, match="never-true"):

@@ -4,9 +4,8 @@ Pins the service contracts from the API redesign:
 
 * ``CampaignSpec`` is frozen, validating, and serialises into the
   campaign content hash — a spec *is* the campaign's identity.
-* legacy ``FaultCampaign.run()`` option kwargs keep working through a
-  warn-once deprecation shim and produce results identical to the spec
-  path.
+* ``FaultCampaign.run()`` takes its options only on a ``CampaignSpec``
+  (the loose option kwargs and their deprecation shim are gone).
 * the content-addressed ``ResultCache`` makes warm re-runs perform
   **zero simulations** while producing ``to_dict()`` payloads identical
   to the cold run (wall-clock total aside), under serial, pooled and
@@ -15,10 +14,16 @@ Pins the service contracts from the API redesign:
 * the ``CampaignScheduler`` runs concurrent campaigns whose results
   match standalone serial runs, shares overlapping fault universes
   through the cache, and prefers higher-priority / less-served jobs.
+* as the only pooled executor it blames worker crashes exactly (a hung
+  fault is timed out, only the poison pill is quarantined, a concurrent
+  job is untouched) and ends a job promptly at its campaign deadline,
+  keeping the outcomes already computed (chaos-marked tests).
 """
 
 import json
 import os
+import signal
+import time
 from collections import deque
 from types import SimpleNamespace
 
@@ -87,6 +92,26 @@ def _normalized(result):
     return doc
 
 
+def _chaos_mid_voltage(ckt):
+    """``_mid_voltage`` with trapdoors: the ``hang`` fault sleeps past
+    every cooperative deadline check, the ``boom`` fault SIGKILLs its
+    worker."""
+    if ckt.has_element("FLT_hang_V"):
+        time.sleep(30.0)
+    if ckt.has_element("FLT_boom_V"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _mid_voltage(ckt)
+
+
+def _healthy_faults(n=3):
+    return [StuckAtFault(name=f"f{i}", node="mid", level=float(i % 2) * 5.0,
+                         resistance=10.0 + i) for i in range(n)]
+
+
+HANG = StuckAtFault(name="hang", node="mid", resistance=1.0)
+BOOM = StuckAtFault(name="boom", node="mid", resistance=1.0)
+
+
 def _spec(**overrides):
     base = dict(technique=_mid_voltage, detector=_shift_detector,
                 target=divider(), faults=tuple(_divider_faults()),
@@ -151,31 +176,6 @@ class TestCampaignSpec:
     def test_live_objects_excluded_from_equality(self):
         base = _spec()
         assert base.replace(progress=print, cache=ResultCache()) == base
-
-
-# --- the legacy-kwarg deprecation shim ------------------------------------
-
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_once_and_match_spec(self, monkeypatch):
-        import repro.faults.campaign as campaign_mod
-        monkeypatch.setattr(campaign_mod, "_LEGACY_KWARGS_WARNED", False)
-        c = FaultCampaign(_mid_voltage, _shift_detector, threshold=0.5)
-        with pytest.warns(DeprecationWarning, match="CampaignSpec"):
-            legacy = c.run(divider(), _divider_faults(), heartbeat_every=2)
-        # second legacy call: shim already warned, stays silent (the
-        # suite runs with DeprecationWarning-as-error, so a repeat
-        # warning would raise here)
-        legacy2 = c.run(divider(), _divider_faults(), heartbeat_every=2)
-        modern = c.run(divider(), _divider_faults(),
-                       spec=CampaignSpec(heartbeat_every=2))
-        assert _normalized(legacy) == _normalized(modern) == \
-            _normalized(legacy2)
-
-    def test_spec_plus_legacy_kwargs_rejected(self):
-        c = FaultCampaign(_mid_voltage, _shift_detector, threshold=0.5)
-        with pytest.raises(ValueError, match="both spec="):
-            c.run(divider(), _divider_faults(), heartbeat_every=2,
-                  spec=CampaignSpec())
 
 
 # --- ResultCache ----------------------------------------------------------
@@ -353,6 +353,27 @@ class TestCampaignScheduler:
         assert bucket                        # ran in-process
         assert _normalized(got) == _normalized(serial)
 
+    def test_raising_progress_callback_fails_only_its_job(self):
+        def stop(progress):
+            raise RuntimeError("stop requested")
+
+        serial = FaultCampaign(_mid_voltage, _shift_detector,
+                               threshold=0.5).run(divider(),
+                                                  _divider_faults())
+        with CampaignScheduler(workers=2) as sched:
+            failing = sched.submit(_spec(progress=stop))
+            clean = sched.submit(_spec())
+            with pytest.raises(RuntimeError, match="stop requested"):
+                failing.result(timeout=60)
+            assert _normalized(clean.result(timeout=60)) == \
+                _normalized(serial)
+        # the pooled FaultCampaign path is a scheduler job too
+        pooled = FaultCampaign(_mid_voltage, _shift_detector,
+                               threshold=0.5, workers=2)
+        with pytest.raises(RuntimeError, match="stop requested"):
+            pooled.run(divider(), _divider_faults(),
+                       spec=CampaignSpec(progress=stop))
+
     def test_submit_validates(self):
         sched = CampaignScheduler(workers=1)
         with pytest.raises(TypeError):
@@ -391,6 +412,55 @@ class TestCampaignScheduler:
             (1, 4), (2, 4), (3, 4), (4, 4)]
         assert seen[0].job                   # labelled with the job id
         assert "campaign[" in seen[0].describe()
+
+
+@pytest.mark.chaos
+class TestSchedulerResilience:
+    @pytest.mark.parametrize("shard_size", [1, 4])
+    def test_crash_blame_times_out_hang_and_quarantines_boom(
+            self, shard_size):
+        healthy = _healthy_faults(3)
+        faults = (healthy[0], HANG, BOOM, healthy[1], healthy[2])
+        serial_clean = FaultCampaign(_mid_voltage, _shift_detector,
+                                     threshold=0.5).run(divider(),
+                                                        _divider_faults())
+        with CampaignScheduler(workers=2, shard_size=shard_size,
+                               timeout_grace_s=0.3, name="blame") as sched:
+            chaos = sched.submit(_spec(
+                technique=_chaos_mid_voltage, faults=faults,
+                reference=2.5, fault_timeout_s=0.4))
+            clean = sched.submit(_spec())
+            got, got_clean = sched.gather(chaos, clean)
+        rep = got.failure_report()
+        assert rep.timeouts == [HANG.describe()]
+        assert rep.quarantined == [BOOM.describe()]
+        assert not rep.skipped
+        assert rep.worker_crashes >= 2
+        assert [o.fault.describe() for o in got.outcomes] == \
+            [f.describe() for f in faults]
+        by_fault = {o.fault.describe(): o for o in got.outcomes}
+        assert by_fault[HANG.describe()].timed_out
+        assert by_fault[BOOM.describe()].quarantined
+        for f in healthy:
+            o = by_fault[f.describe()]
+            assert o.error is None and o.detected
+        assert _normalized(got_clean) == _normalized(serial_clean)
+
+    def test_campaign_deadline_kills_pool_and_keeps_finished_outcomes(self):
+        healthy = _healthy_faults(1)[0]
+        t0 = time.perf_counter()
+        with CampaignScheduler(workers=2, shard_size=1,
+                               name="deadline") as sched:
+            got = sched.submit(_spec(
+                technique=_chaos_mid_voltage, faults=(HANG, healthy),
+                reference=2.5, campaign_deadline_s=0.5)).result()
+        assert time.perf_counter() - t0 < 10.0
+        rep = got.failure_report()
+        assert rep.deadline_hit and got.partial
+        assert rep.skipped == [HANG.describe()]
+        assert [o.fault.describe() for o in got.outcomes] == \
+            [healthy.describe()]
+        assert got.outcomes[0].detected
 
 
 # --- Session integration --------------------------------------------------
